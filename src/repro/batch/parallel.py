@@ -54,6 +54,7 @@ work unit therefore always runs inline instead of forking grandchildren.
 from __future__ import annotations
 
 import atexit
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -125,6 +126,11 @@ def _warn_small_trials(n_trials: int, n_jobs: int) -> None:
 
 #: Live executors keyed by worker count, reused across pipeline calls.
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
+
+#: Guards every read-modify-write of :data:`_EXECUTORS`: concurrent serve
+#: drains look up, build and evict the same per-count pool from several
+#: threads at once.
+_EXECUTORS_LOCK = threading.Lock()
 
 #: True in pool-child processes (set by the executor initializer); pool
 #: children must never spawn pools of their own.
@@ -214,26 +220,39 @@ def effective_n_jobs(n_jobs: int) -> int:
 
 def shutdown_workers() -> None:
     """Tear down every pooled worker process (they are lazily recreated)."""
-    for executor in _EXECUTORS.values():
+    with _EXECUTORS_LOCK:
+        executors = list(_EXECUTORS.values())
+        _EXECUTORS.clear()
+    for executor in executors:
         executor.shutdown(wait=True, cancel_futures=True)
-    _EXECUTORS.clear()
 
 
 atexit.register(shutdown_workers)
 
 
 def _get_executor(n_jobs: int) -> ProcessPoolExecutor:
-    executor = _EXECUTORS.get(n_jobs)
-    if executor is None:
-        from repro.faults.injection import configured_plan  # lazy: cycle
+    """The shared ``n_jobs``-worker executor, built on first use."""
+    with _EXECUTORS_LOCK:
+        executor = _EXECUTORS.get(n_jobs)
+        if executor is None:
+            from repro.faults.injection import configured_plan  # lazy: cycle
 
-        executor = ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_init_worker,
-            initargs=(configured_plan(),),
-        )
-        _EXECUTORS[n_jobs] = executor
-    return executor
+            executor = ProcessPoolExecutor(
+                max_workers=n_jobs,
+                initializer=_init_worker,
+                initargs=(configured_plan(),),
+            )
+            _EXECUTORS[n_jobs] = executor
+        return executor
+
+
+def _forget_executor(n_jobs: int, executor: ProcessPoolExecutor) -> None:
+    """Unregister ``executor`` — only if it is still the one registered
+    under ``n_jobs``.  A late eviction of a pool that another thread has
+    already replaced must not orphan the replacement."""
+    with _EXECUTORS_LOCK:
+        if _EXECUTORS.get(n_jobs) is executor:
+            del _EXECUTORS[n_jobs]
 
 
 @dataclass(frozen=True)

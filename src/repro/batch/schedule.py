@@ -155,10 +155,12 @@ def iter_units(
     :class:`CompletedUnit` **as it finishes** — the streaming twin of
     :func:`run_units`.
 
-    With ``n_jobs=1`` (or inside a pool child, or for a single unit) the
-    units run inline and are yielded in input order; pooled, they arrive in
-    completion order.  Either way the *set* of ``(key, result)`` pairs is
-    identical, because every unit's output is a pure function of
+    With ``n_jobs=1`` (or inside a pool child) the units run inline and are
+    yielded in input order; otherwise every unit, even a lone one, goes
+    through the supervised pool and they arrive in completion order (so a
+    request the serving tier drains alone still computes in a worker, with
+    the pool's crash isolation).  Either way the *set* of ``(key, result)``
+    pairs is identical, because every unit's output is a pure function of
     ``(fn, seed, payload)`` — consumers that need input order collect into a
     mapping (exactly what :func:`run_units` does), consumers that can act on
     partial results (streaming response loops, live report rendering)
@@ -183,7 +185,7 @@ def iter_units(
     units = list(units)
     _check_unique_keys(units)
     n_jobs = effective_n_jobs(n_jobs)
-    if n_jobs == 1 or len(units) <= 1:
+    if n_jobs == 1:
         for u in units:
             result, seconds = _run_unit_timed(u.fn, u.seed, u.payload)
             yield CompletedUnit(
@@ -211,10 +213,11 @@ def run_units(
     """Run every unit, interleaved through the shared ``n_jobs`` pool.
 
     Returns ``{unit.key: result}`` ordered like the input units.  With
-    ``n_jobs=1`` (or inside a pool child, or for a single unit) the units
-    run inline in input order — the scheduled and inline paths produce
-    identical mappings because every unit's output is a pure function of
-    ``(fn, seed, payload)``.
+    ``n_jobs=1`` (or inside a pool child) the units run inline in input
+    order — the scheduled and inline paths produce identical mappings
+    because every unit's output is a pure function of ``(fn, seed,
+    payload)``.  A single unit always runs inline: a batch caller has
+    nothing to overlap it with, so the pool hop would be pure overhead.
 
     ``on_unit_done`` (when given) is called in the parent with each unit's
     key and measured compute wall-time (seconds, clocked in the executing
@@ -228,9 +231,13 @@ def run_units(
     ``policy`` (see :func:`iter_units`) and tallied into ``counters``.
     """
     units = list(units)
+    n_jobs = effective_n_jobs(n_jobs)
     results: dict[Hashable, Any] = {}
     for done in iter_units(
-        units, n_jobs=n_jobs, policy=policy, counters=counters
+        units,
+        n_jobs=n_jobs if len(units) > 1 else 1,
+        policy=policy,
+        counters=counters,
     ):
         results[done.key] = done.result
         if on_unit_done is not None:

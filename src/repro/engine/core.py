@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -47,7 +48,7 @@ import numpy as np
 from repro.algorithms.base import FairRankingAlgorithm, FairRankingProblem
 from repro.batch.cache import CacheStats, KernelCache, use_cache
 from repro.batch.parallel import resolve_n_jobs
-from repro.batch.schedule import WorkerPool, WorkUnit, iter_units
+from repro.batch.schedule import CompletedUnit, WorkerPool, WorkUnit, iter_units
 from repro.engine.costs import CostModel, load_bench_cost_tables
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters
@@ -175,6 +176,9 @@ class EngineStats:
     ``utilization`` is busy-seconds over wall-seconds × workers for the
     session's ``rank_many`` streams: 1.0 means every worker computed the
     whole time, values near ``1 / n_jobs`` mean the pool mostly idled.
+    ``wall_seconds`` is the time during which at least one stream or drain
+    was active, so drains that overlap (a serving tier runs up to
+    ``n_jobs`` at once) share their wall instead of summing it.
     ``cache`` counts parent-process kernel-cache traffic (pool children
     keep their own process-wide caches).
     """
@@ -378,10 +382,15 @@ class RankingEngine:
         )
         self._cache = KernelCache(config.cache_max_entries)
         self._costs = CostModel(config.cost_smoothing)
+        # One lock over the counters and cost observations: a serving tier
+        # drains several batches through this session from several threads.
+        self._lock = threading.Lock()
         self._requests_total = 0
         self._batches_total = 0
         self._busy_seconds = 0.0
         self._wall_seconds = 0.0
+        self._active_drains = 0
+        self._active_since = 0.0
         self._closed = False
 
     # -- session plumbing -----------------------------------------------------
@@ -515,8 +524,9 @@ class RankingEngine:
             algorithm = make_algorithm(spec.name, **request_params)
             result = algorithm.rank(problem, seed=request_seed)
         seconds = time.perf_counter() - t0
-        self._requests_total += 1
-        self._costs.observe(("rank", spec.name, problem.n_items), seconds)
+        with self._lock:
+            self._requests_total += 1
+            self._costs.observe(("rank", spec.name, problem.n_items), seconds)
         metadata = dict(result.metadata)
         metadata.setdefault("algorithm_label", result.algorithm)
         return RankingResponse(
@@ -636,15 +646,14 @@ class RankingEngine:
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
         units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
         jobs = self._config.n_jobs if n_jobs is None else n_jobs
-        self._batches_total += 1
         delivered = 0
-        t0 = time.perf_counter()
         stream = iter_units(
             units,
             n_jobs=jobs,
             policy=self._config.retry if retry is None else retry,
             counters=self._faults,
         )
+        self._drain_started()
         try:
             while True:
                 with use_cache(self._cache):
@@ -655,12 +664,10 @@ class RankingEngine:
                 index = done.key
                 request = resolved[index]
                 ok, payload = done.result
-                self._busy_seconds += done.seconds
+                self._observe(done, served=ok)
                 delivered += 1
                 if ok:
                     ranking, metadata = payload
-                    self._requests_total += 1
-                    self._costs.observe(done.kind, done.seconds)
                     on_response(
                         RankingResponse(
                             request_id=(
@@ -681,7 +688,7 @@ class RankingEngine:
                     on_error(index, request, payload)
         finally:
             stream.close()  # cancel still-queued units on early abandon
-            self._wall_seconds += time.perf_counter() - t0
+            self._drain_finished()
         return delivered
 
     def warm_start_costs(
@@ -718,15 +725,14 @@ class RankingEngine:
     ) -> Iterator[RankingResponse]:
         """Generator body of :meth:`rank_many` (split out so argument
         validation in ``rank_many`` happens eagerly at call time)."""
-        self._batches_total += 1
         jobs = self._config.n_jobs if n_jobs is None else n_jobs
-        t0 = time.perf_counter()
         stream = iter_units(
             units,
             n_jobs=jobs,
             policy=self._config.retry,
             counters=self._faults,
         )
+        self._drain_started()
         try:
             while True:
                 # The session cache is installed only while the scheduler
@@ -746,9 +752,7 @@ class RankingEngine:
                 index = done.key
                 request = requests[index]
                 ranking, metadata = done.result
-                self._requests_total += 1
-                self._busy_seconds += done.seconds
-                self._costs.observe(done.kind, done.seconds)
+                self._observe(done, served=True)
                 yield RankingResponse(
                     request_id=(
                         request.request_id
@@ -763,7 +767,34 @@ class RankingEngine:
                 )
         finally:
             stream.close()  # cancel still-queued units on early abandon
-            self._wall_seconds += time.perf_counter() - t0
+            self._drain_finished()
+
+    # -- accounting (thread-safe: drains run concurrently) --------------------
+
+    def _drain_started(self) -> None:
+        """Count one batch and, if no other drain is active, open the wall
+        clock (paired with :meth:`_drain_finished`)."""
+        with self._lock:
+            self._batches_total += 1
+            if self._active_drains == 0:
+                self._active_since = time.perf_counter()
+            self._active_drains += 1
+
+    def _drain_finished(self) -> None:
+        """Close the wall clock once the last active drain ends."""
+        with self._lock:
+            self._active_drains -= 1
+            if self._active_drains == 0:
+                self._wall_seconds += time.perf_counter() - self._active_since
+
+    def _observe(self, done: CompletedUnit, *, served: bool) -> None:
+        """Fold one finished unit into the counters (and, when it served a
+        response, into the cost model)."""
+        with self._lock:
+            self._busy_seconds += done.seconds
+            if served:
+                self._requests_total += 1
+                self._costs.observe(done.kind, done.seconds)
 
     # -- introspection --------------------------------------------------------
 
@@ -771,11 +802,18 @@ class RankingEngine:
         """Counters of the session so far: request/batch totals, busy vs
         wall time (pool utilization), the session cache's hit/miss
         counters, and the learned cost table."""
+        with self._lock:
+            requests_total = self._requests_total
+            batches_total = self._batches_total
+            busy_seconds = self._busy_seconds
+            wall_seconds = self._wall_seconds
+            if self._active_drains:
+                wall_seconds += time.perf_counter() - self._active_since
         return EngineStats(
-            requests_total=self._requests_total,
-            batches_total=self._batches_total,
-            busy_seconds=self._busy_seconds,
-            wall_seconds=self._wall_seconds,
+            requests_total=requests_total,
+            batches_total=batches_total,
+            busy_seconds=busy_seconds,
+            wall_seconds=wall_seconds,
             n_jobs=resolve_n_jobs(self._config.n_jobs),
             cache=self._cache.stats(),
             cost_table=self._costs.to_jsonable(),

@@ -38,13 +38,14 @@ process-wide :data:`GLOBAL_FAULTS` plus any caller-supplied counters
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, Sequence
 
-from repro.batch.parallel import _EXECUTORS, _get_executor, _warn_once
+from repro.batch.parallel import _forget_executor, _get_executor, _warn_once
 from repro.exceptions import PoolRecoveryExhausted
 from repro.faults.injection import maybe_inject
 from repro.faults.policy import (
@@ -85,7 +86,8 @@ class FaultCounters:
     finished inline after budget exhaustion, and surfaced as
     :class:`~repro.exceptions.PoolRecoveryExhausted` respectively;
     ``backoff_seconds`` sums the computed backoff delays (as computed —
-    a fake policy sleep still accrues them).
+    a fake policy sleep still accrues them).  Updates are atomic:
+    concurrent serve drains record into the same tallies.
     """
 
     crash_faults: int = 0
@@ -106,12 +108,13 @@ class FaultCounters:
         backoff_seconds: float = 0.0,
     ) -> None:
         """Accumulate one recovery event into the tally."""
-        self.crash_faults += crash_faults
-        self.rebuilds += rebuilds
-        self.retried_units += retried_units
-        self.degraded_units += degraded_units
-        self.exhausted_units += exhausted_units
-        self.backoff_seconds += backoff_seconds
+        with _TALLY_LOCK:
+            self.crash_faults += crash_faults
+            self.rebuilds += rebuilds
+            self.retried_units += retried_units
+            self.degraded_units += degraded_units
+            self.exhausted_units += exhausted_units
+            self.backoff_seconds += backoff_seconds
 
     def reset(self) -> None:
         """Zero every counter (test hygiene; see the shared fixture)."""
@@ -137,6 +140,10 @@ class FaultCounters:
         return any(value != 0 for value in self.snapshot().values())
 
 
+#: Serializes :meth:`FaultCounters.record` across every tally (a module
+#: lock, not a field, so tallies stay plain picklable dataclasses).
+_TALLY_LOCK = threading.Lock()
+
 #: Process-wide tally: every supervised run records here (in addition to
 #: any caller-supplied counters), so CLI runs and chaos lanes can assert
 #: that recovery actually happened.
@@ -157,13 +164,16 @@ def evict_broken_pool(
     drop the executor from the per-``n_jobs`` registry, and shut it down
     without waiting.
 
+    Only ``executor`` itself is unregistered: when concurrent drains share
+    a pool that broke, the first to recover registers a fresh one, and a
+    second drain's late eviction of the broken pool leaves it in place.
     Cancelling explicitly (not just via ``cancel_futures=True``) keeps
     behaviour uniform across executor implementations and marks the
     futures cancelled *before* any caller inspects them.
     """
     for future in futures:
         future.cancel()
-    _EXECUTORS.pop(n_jobs, None)
+    _forget_executor(n_jobs, executor)
     executor.shutdown(wait=False, cancel_futures=True)
 
 

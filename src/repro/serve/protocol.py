@@ -62,13 +62,14 @@ class ServeConfig:
         loop over the same submissions.
     n_jobs:
         Worker override for each coalesced batch (``None`` = the engine
-        session's budget).
+        session's budget).  It also sizes the server's drain executor:
+        up to this many batches drain at once.
     retry:
         Crash-recovery budget for dispatched batches (``None`` derives a
         serving policy from the engine's: same bounds, but
         ``on_exhausted="raise"`` — a server sheds load through its
-        circuit breaker instead of dragging all traffic through one
-        inline thread).
+        circuit breaker instead of dragging all traffic through inline
+        execution on its drain threads).
     breaker_cooldown:
         Seconds the circuit breaker sheds new admissions with
         :class:`ServerUnhealthy` after pool recovery is exhausted, before

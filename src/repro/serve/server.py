@@ -2,7 +2,7 @@
 
 The shell owns exactly the things the semantics core
 (:class:`~repro.serve.core.ServerCore`) refuses to: an event loop, one
-timer, one dispatcher task, and one worker thread that drains coalesced
+timer, and a drain executor of ``n_jobs`` threads that run coalesced
 batches through the engine's blocking
 :meth:`~repro.engine.RankingEngine.rank_many_submit` hook.  Every
 decision — admit/queue/reject, window flush, deadline expiry,
@@ -15,17 +15,19 @@ loop's clock, so the shell stays a thin, auditable adapter:
 * one ``call_later`` timer tracks ``core.next_event_at()`` (window
   flushes and deadline expiries); submissions and completions tick the
   core via ``call_soon``;
-* dispatched batches queue onto a single dispatcher task that runs them
-  **one at a time** in a private one-thread executor — the engine
-  session is a shared resource, and its internal ``n_jobs`` pool is the
-  parallelism, not concurrent drains;
+* every batch ``poll()`` dispatches becomes a tracked drain task on the
+  drain executor, so up to ``n_jobs`` batches drain **at once** and every
+  pool worker computes even when each batch holds a single request (the
+  scheduler ships a lone unit to the pool whenever ``n_jobs > 1``, where
+  it also gets the pool's crash isolation).  An ``n_jobs = 1`` server
+  keeps one drain thread that computes inline;
 * engine completions are marshalled back with
   ``call_soon_threadsafe``, so core state is only ever touched from the
   loop thread.
 
 Shutdown is leak-free by construction: ``stop()`` drains (or aborts)
-every ticket, retires the dispatcher task, and joins the executor — the
-CI smoke lane asserts no stray tasks or threads survive it.
+every ticket, awaits the drain tasks, and joins the executor — the CI
+smoke lane asserts no stray tasks or threads survive it.
 
 Example
 -------
@@ -45,6 +47,7 @@ from dataclasses import replace
 from typing import Any
 
 from repro.algorithms.base import FairRankingProblem
+from repro.batch.parallel import resolve_n_jobs
 from repro.engine.core import RankingEngine, RankingRequest, RankingResponse
 from repro.faults.policy import DEGRADE_RAISE, RetryPolicy
 from repro.serve.core import ServerCore
@@ -87,7 +90,7 @@ class AsyncRankingServer:
         # or the engine's bounds with on_exhausted flipped to "raise" —
         # a server must shed load through the core's circuit breaker
         # when the pool is gone, not drag every batch through inline
-        # serial execution on its single drain thread.
+        # serial execution on its drain threads.
         self._retry: RetryPolicy = (
             config.retry
             if config.retry is not None
@@ -96,8 +99,7 @@ class AsyncRankingServer:
         self._core: ServerCore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._dispatch_queue: asyncio.Queue | None = None
-        self._dispatcher: asyncio.Task | None = None
+        self._drains: set[asyncio.Task[None]] = set()
         self._timer: asyncio.TimerHandle | None = None
         self._poll_handle: asyncio.Handle | None = None
         self._idle: asyncio.Event | None = None
@@ -137,20 +139,19 @@ class AsyncRankingServer:
         return self._core.breaker_state
 
     async def start(self) -> "AsyncRankingServer":
-        """Bind to the running loop and start the dispatcher."""
+        """Bind to the running loop and start the drain executor."""
         if self._core is not None:
             raise RuntimeError("the server is already started")
         self._loop = asyncio.get_running_loop()
         self._core = ServerCore(self._engine, self._config)
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
+            max_workers=resolve_n_jobs(
+                self._config.n_jobs or self._engine.n_jobs
+            ),
+            thread_name_prefix="repro-serve",
         )
-        self._dispatch_queue = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._dispatcher = self._loop.create_task(
-            self._dispatch_loop(), name="repro-serve-dispatcher"
-        )
         return self
 
     async def __aenter__(self) -> "AsyncRankingServer":
@@ -182,8 +183,9 @@ class AsyncRankingServer:
         # A closed core flushes pending windows on the next tick.
         self._schedule_poll()
         await self._idle.wait()
-        await self._dispatch_queue.put(None)
-        await self._dispatcher
+        # Deliveries settle tickets before their drain returns, so a few
+        # drain tasks may still be winding down after the core goes idle.
+        await asyncio.gather(*self._drains)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -192,8 +194,6 @@ class AsyncRankingServer:
             self._poll_handle = None
         self._executor.shutdown(wait=True)
         self._core = None
-        self._dispatcher = None
-        self._dispatch_queue = None
         self._executor = None
         self._loop = None
         self._idle = None
@@ -265,7 +265,11 @@ class AsyncRankingServer:
         if self._core is None:
             return
         for batch in self._core.poll(self._loop.time()):
-            self._dispatch_queue.put_nowait(batch)
+            drain = self._loop.create_task(
+                self._drain(batch), name="repro-serve-drain"
+            )
+            self._drains.add(drain)
+            drain.add_done_callback(self._drains.discard)
         self._update_idle()
         self._arm_timer()
 
@@ -299,27 +303,23 @@ class AsyncRankingServer:
         self._update_idle()
         self._schedule_poll()
 
-    # -- dispatch (one batch at a time through the engine) --------------------
+    # -- dispatch (up to n_jobs batches drain at once) ------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            batch = await self._dispatch_queue.get()
-            if batch is None:
-                return
-            try:
-                await self._loop.run_in_executor(
-                    self._executor, self._drain_batch, batch
-                )
-            except Exception as exc:
-                # Engine/scheduler-level failure (e.g. a broken pool):
-                # per-request failures never surface here — they were
-                # already routed by rank_many_submit's on_error.
-                self._core.on_batch_aborted(batch, exc, self._loop.time())
-                self._update_idle()
-                self._schedule_poll()
+    async def _drain(self, batch: list[Ticket]) -> None:
+        try:
+            await self._loop.run_in_executor(
+                self._executor, self._drain_batch, batch
+            )
+        except Exception as exc:
+            # Engine/scheduler-level failure (e.g. a broken pool):
+            # per-request failures never surface here — they were
+            # already routed by rank_many_submit's on_error.
+            self._core.on_batch_aborted(batch, exc, self._loop.time())
+            self._update_idle()
+            self._schedule_poll()
 
     def _drain_batch(self, batch: list[Ticket]) -> None:
-        """Blocking engine drain — runs in the serve worker thread.
+        """Blocking engine drain — runs on a serve drain thread.
 
         Every ticket's request carries its pinned per-submission seed, so
         the batch-level seed is irrelevant: the served rankings are the

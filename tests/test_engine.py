@@ -10,6 +10,9 @@ measured-cost model feeds scheduler weights.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -468,6 +471,81 @@ class TestRankManySubmit:
             assert not engine.costs.known(
                 ("rank", "mallows", problem.n_items)
             )
+
+
+class TestConcurrentDrains:
+    """Accounting under overlapping drains — what a serving tier does when
+    it drains up to ``n_jobs`` batches at once."""
+
+    def test_overlapping_drains_count_their_shared_wall_once(self):
+        rng = np.random.default_rng(0)
+        groups = GroupAssignment.from_indices(rng.integers(0, 2, size=250))
+        heavy = FairRankingProblem.from_scores(rng.uniform(0, 1, 250), groups)
+        batch = [
+            RankingRequest(
+                "mallows", heavy, params={"theta": 0.5, "n_samples": 2000}
+            )
+        ] * 2
+        with RankingEngine(n_jobs=2) as engine:
+            engine.warm_up()
+            barrier = threading.Barrier(2)
+
+            def drain():
+                barrier.wait()
+                engine.rank_many_submit(
+                    batch, seed=1, on_response=lambda response: None
+                )
+
+            threads = [threading.Thread(target=drain) for _ in range(2)]
+            t0 = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            elapsed = time.perf_counter() - t0
+            assert not any(thread.is_alive() for thread in threads)
+            stats = engine.stats()
+        assert stats.batches_total == 2
+        assert stats.requests_total == 4
+        # Summing the two drains' walls would read about 2x elapsed and
+        # pin utilization near 1 / n_jobs.
+        assert 0.0 < stats.wall_seconds <= elapsed
+        assert stats.utilization > 1 / stats.n_jobs
+
+    def test_counters_lose_no_update_under_thread_contention(self, problem):
+        """More drain threads than cores, switching every microsecond:
+        every batch, request and cost observation is still counted."""
+        n_threads, n_batches = 8, 25
+        batch = [("dp", problem), ("detconstsort", problem)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RankingEngine(n_jobs=1) as engine:
+
+                def drain():
+                    for _ in range(n_batches):
+                        engine.rank_many_submit(
+                            batch, seed=0, on_response=lambda response: None
+                        )
+
+                threads = [
+                    threading.Thread(target=drain) for _ in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = engine.stats()
+                observations = sum(
+                    count for _, count in engine.costs.snapshot().values()
+                )
+        finally:
+            sys.setswitchinterval(previous)
+        total = n_threads * n_batches
+        assert stats.batches_total == total
+        assert stats.requests_total == total * len(batch)
+        assert observations == total * len(batch)
 
 
 class TestCostModelMerge:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import WorkUnit, WorkerPool, run_units
+from repro.batch import WorkUnit, WorkerPool, run_units, shutdown_workers
+from repro.batch.parallel import _EXECUTORS, _get_executor
 from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import (
     InjectedFault,
@@ -43,6 +45,7 @@ from repro.faults import (
     RetryPolicy,
     clear_plan,
     configured_plan,
+    evict_broken_pool,
     inject_faults,
     install_plan,
     maybe_inject,
@@ -324,6 +327,51 @@ class TestSupervisedRecovery:
         assert counters.exhausted_units == len(err.keys)
         assert counters.degraded_units == 0
 
+    def test_late_eviction_of_a_stale_pool_spares_its_replacement(self):
+        """Two drains share a pool that broke: the first evicts it and
+        builds a replacement; the second's late eviction of the *stale*
+        pool must not orphan the replacement."""
+
+        class FakeExecutor:
+            def __init__(self):
+                self.shut_down = False
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.shut_down = True
+
+        n_jobs = 97  # a worker count no real pool uses
+        stale, newer = FakeExecutor(), FakeExecutor()
+        _EXECUTORS[n_jobs] = newer
+        try:
+            evict_broken_pool(n_jobs, stale)
+            assert stale.shut_down
+            assert _EXECUTORS[n_jobs] is newer and not newer.shut_down
+            evict_broken_pool(n_jobs, newer)
+            assert n_jobs not in _EXECUTORS
+        finally:
+            _EXECUTORS.pop(n_jobs, None)
+
+    def test_concurrent_lookups_share_one_pool(self):
+        shutdown_workers()
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def lookup():
+            barrier.wait()
+            seen.append(_get_executor(3))
+
+        threads = [threading.Thread(target=lookup) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8
+            assert all(executor is seen[0] for executor in seen)
+        finally:
+            shutdown_workers()
+
     def test_pool_recovery_exhausted_pickles(self):
         err = PoolRecoveryExhausted(
             keys=(("draw", 0), ("draw", 1)),
@@ -558,8 +606,8 @@ class TestServedChaos:
                 async with AsyncRankingServer(
                     engine,
                     # A generous window so the gathered submissions coalesce
-                    # into multi-unit batches — single-unit batches run
-                    # inline and would dodge the pool (and the fault).
+                    # into multi-unit batches (the lone-request path is
+                    # covered by the test below).
                     batch_window=0.05,
                     seed=SEED,
                     n_jobs=2,
@@ -575,6 +623,41 @@ class TestServedChaos:
             responses, stats = asyncio.run(scenario())
         assert responses_digest(responses) == serial
         assert stats.faults["crash_faults"] >= 1
+
+    def test_lone_served_requests_recover_from_injected_crash(self):
+        """One request per batch, two batches draining at once: every
+        lone request still runs in the supervised pool, so its worker's
+        death is recovered and the served bytes match the serial loop."""
+        problem = _problem()
+        requests = _requests(problem, 8)
+        with RankingEngine(n_jobs=1) as ref:
+            serial = responses_digest(
+                ref.rank_many(requests, seed=SEED, n_jobs=1)
+            )
+        retry = RetryPolicy(on_exhausted=DEGRADE_RAISE, sleep=_no_sleep)
+
+        async def scenario():
+            with RankingEngine(n_jobs=2) as engine:
+                async with AsyncRankingServer(
+                    engine,
+                    max_batch_size=1,
+                    batch_window=0.0,
+                    seed=SEED,
+                    retry=retry,
+                ) as server:
+                    responses = await asyncio.gather(
+                        *(server.submit(r) for r in requests)
+                    )
+                    serve_stats = server.stats()
+                stats = engine.stats()
+            return responses, serve_stats, stats
+
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            responses, serve_stats, stats = asyncio.run(scenario())
+        assert serve_stats.largest_batch == 1
+        assert serve_stats.dispatched_batches == len(requests)
+        assert responses_digest(responses) == serial
+        assert stats.faults["crash_faults"] > 0
 
     def test_exhausted_recovery_fails_batch_and_sheds_until_probe(self):
         """The unrecoverable half: retries exhaust, the affected request
@@ -595,9 +678,9 @@ class TestServedChaos:
                     retry=retry,
                     breaker_cooldown=30.0,
                 ) as server:
-                    # Two coalesced requests: the batch is pooled (size
-                    # >= 2), crashes on every attempt, and exhausts its
-                    # zero-rebuild budget — both waiters see the failure.
+                    # Two coalesced requests: the pooled batch crashes on
+                    # every attempt and exhausts its zero-rebuild budget —
+                    # both waiters see the failure.
                     outcomes = await asyncio.gather(
                         *(server.submit(r) for r in _requests(problem, 2)),
                         return_exceptions=True,

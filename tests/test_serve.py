@@ -237,6 +237,69 @@ class TestServingContracts:
 
         assert run(scenario()) == _serial_digest(requests, SEED)
 
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_lone_request_drains_match_serial(self, n_jobs):
+        """One request per batch, up to ``n_jobs`` batches draining at
+        once: the served bytes still equal the serial loop's."""
+        requests = synthetic_requests(16, seed=9)
+
+        async def scenario():
+            baseline_tasks = asyncio.all_tasks()
+            with RankingEngine(n_jobs=n_jobs) as engine:
+                async with AsyncRankingServer(
+                    engine, max_batch_size=1, batch_window=0.0, seed=SEED
+                ) as server:
+                    report = await run_load(server, requests)
+                    stats = server.stats()
+            assert report.served == 16, report.summary()
+            assert stats.largest_batch == 1
+            assert stats.dispatched_batches == 16
+            return report.digest(), asyncio.all_tasks() - baseline_tasks
+
+        digest, leaked = run(scenario())
+        assert digest == _serial_digest(requests, SEED)
+        assert leaked == set()
+        assert _serve_threads() == []
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_stop_with_drains_in_flight_leaks_nothing(self, drain):
+        """Stopping while lone-request drains are still running leaves no
+        drain task and no serve thread behind, with or without draining."""
+        requests = synthetic_requests(12, seed=4)
+
+        async def scenario():
+            baseline_tasks = asyncio.all_tasks()
+            with RankingEngine(n_jobs=2) as engine:
+                # Budget for two requests in flight: two lone-request
+                # drains run, the other ten wait in the admission queue.
+                server = await AsyncRankingServer(
+                    engine,
+                    max_batch_size=1,
+                    batch_window=0.0,
+                    cost_budget=0.1,
+                    default_cost=0.05,
+                    seed=SEED,
+                ).start()
+                waiters = [
+                    asyncio.ensure_future(server.submit(r)) for r in requests
+                ]
+                await asyncio.sleep(0)  # the submissions reach the core
+                await asyncio.sleep(0)  # the poll dispatches two drains
+                assert server.stats().dispatched_batches == 2
+                await server.stop(drain=drain)
+                outcomes = await asyncio.gather(
+                    *waiters, return_exceptions=True
+                )
+            return outcomes, asyncio.all_tasks() - baseline_tasks
+
+        outcomes, leaked = run(scenario())
+        served = [o for o in outcomes if not isinstance(o, BaseException)]
+        closed = [o for o in outcomes if isinstance(o, ServerClosed)]
+        assert len(served) + len(closed) == len(requests), outcomes
+        assert len(closed) == (0 if drain else len(requests) - 2)
+        assert leaked == set()
+        assert _serve_threads() == []
+
     def test_pinned_seed_requests_do_not_shift_neighbours(self):
         """A request pinning its own seed must not change what its
         neighbours are served — the server spawns a child per submission
