@@ -322,7 +322,13 @@ class LintCache:
         self, path: str, content_hash: str
     ) -> ModuleSummary | None:
         entry = self._summaries.get(os.path.abspath(path))
-        if entry is None or entry.get("hash") != content_hash:
+        # A summary records the path as spelled when it was built (its
+        # findings print it), so another spelling of the file is a miss.
+        if (
+            entry is None
+            or entry.get("hash") != content_hash
+            or entry.get("summary", {}).get("path") != path
+        ):
             self.stats.summary_misses += 1
             return None
         try:

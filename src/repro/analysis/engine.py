@@ -528,8 +528,10 @@ class LintEngine:
         )
         from repro.analysis.effects import propagate_effects
 
+        # Keyed by path as well as content: stored findings carry their
+        # file's path, so they are reused only under the same spelling.
         hashes = {
-            r.summary.module: r.source_hash
+            r.summary.module: f"{r.path}:{r.source_hash}"
             for r in records
             if r.summary is not None
         }

@@ -1,17 +1,27 @@
 """Multi-core fan-out of the experiment hot loops, in two sharding modes.
 
+Both modes cut one loop into shards and run each shard as a
+:class:`~repro.batch.schedule.WorkUnit` through
+:func:`~repro.batch.schedule.run_units` — the same supervised path as
+every other pooled job.  A worker that dies mid-shard is therefore
+recovered (the pool is rebuilt and the shard resubmitted with its original
+stream, see :mod:`repro.faults`), never fatal to the call, and recovery
+never changes a byte.  A lone shard runs inline in the calling process.
+
 Mode 1 — row-range sharding (:func:`mallows_sample_and_score`)
 --------------------------------------------------------------
 The large-batch experiments (Figs. 1, 3, 4) run one inner pipeline: draw an
 ``(m, n)`` batch of Mallows samples, then score every row with the batched
 kernels.  Rows are mutually independent, so the batch is sharded by
-contiguous row range across worker processes.  The sampler consumes exactly
-one uniform double per ``(row, item)`` cell, row-major, from the caller's
-generator, so each shard's worker gets a clone of the caller's bit
-generator advanced to its first row's stream offset (``lo * n`` draws) —
-PCG64's ``advance`` makes this O(1) — and the parent generator is advanced
-past all ``m * n`` draws afterwards.  The upshot, pinned by the
-equivalence tests:
+contiguous row range, one ``("rows", lo)`` unit per range.  The sampler
+consumes exactly one uniform double per ``(row, item)`` cell, row-major,
+from the caller's generator, so each shard carries a clone of the caller's
+bit generator advanced to its first row's stream offset (``lo * n`` draws)
+— PCG64's ``advance`` makes this O(1) — and the parent generator is
+advanced past all ``m * n`` draws afterwards.  A single shard draws from
+the caller's generator directly.  A shard's stream travels in its payload,
+so a pool retry or the degraded inline fallback replays it from the same
+state.  The upshot, pinned by the equivalence tests:
 
 * any ``n_jobs`` (including 1) produces **byte-identical** samples and
   scores under a fixed seed;
@@ -20,7 +30,7 @@ equivalence tests:
   (e.g. bootstrap resampling) are unaffected by the fan-out.
 
 Bit generators without ``advance`` (e.g. MT19937) fall back to drawing the
-displacement matrix in the parent and shipping row slices to the workers —
+displacement matrix in the parent and shipping row slices in the shards —
 same outputs, slightly less parallel.
 
 Mode 2 — trial sharding (:func:`run_trials`)
@@ -28,7 +38,8 @@ Mode 2 — trial sharding (:func:`run_trials`)
 The remaining experiments (the German Credit panels of Figs. 5–7, Fig. 2)
 iterate a *heterogeneous* trial — subsample, solve, score — whose batches
 are far too small for row sharding; they parallelize at the
-``(trial_index,)`` granularity instead.  :func:`run_trials` derives one
+``(trial_index,)`` granularity instead, one ``("trials", lo)`` unit per
+contiguous block of trials.  :func:`run_trials` derives one
 :class:`~numpy.random.SeedSequence` child per trial from the caller's seed
 (``spawn_seed_sequences`` style), so trial ``t`` sees the same stream no
 matter which worker — or the serial loop — executes it.  Results are
@@ -38,11 +49,10 @@ clamped to ``min(n_jobs, n_trials)`` shards on the shared pool (heavy
 few-repeat loops stay parallel); only a single-trial request runs inline,
 after a one-time :class:`RuntimeWarning`.
 
-Both modes share the same per-``n_jobs`` pooled ``ProcessPoolExecutor``\\ s,
-reused across pipeline calls (the experiments call them in tight loops) and
-shared with the experiment-level scheduler (:mod:`repro.batch.schedule`);
-:func:`shutdown_workers` tears the pools down explicitly, and an ``atexit``
-hook does so at interpreter exit.
+This module owns the per-``n_jobs`` pooled ``ProcessPoolExecutor``\\ s the
+scheduler dispatches to, reused across calls (the experiments fan out in
+tight loops); :func:`shutdown_workers` tears the pools down explicitly,
+and an ``atexit`` hook does so at interpreter exit.
 
 Pool children never nest pools: every worker process is marked by a pool
 initializer, and :func:`effective_n_jobs` — the resolution step every fan-out
@@ -57,7 +67,6 @@ import atexit
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -67,6 +76,7 @@ from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
 
 if TYPE_CHECKING:  # lazy at runtime: repro.mallows.sampling imports repro.batch
+    from repro.batch.schedule import WorkerPool
     from repro.fairness.constraints import FairnessConstraints
     from repro.groups.attributes import GroupAssignment
 
@@ -108,8 +118,8 @@ def _warn_small_batch(m: int, n_jobs: int) -> None:
         f"(< 2 x MIN_ROWS_PER_JOB = {2 * MIN_ROWS_PER_JOB}), so the pipeline "
         "runs single-process: at this size the worker-pool dispatch costs "
         "more than the work.  Output is identical either way.  Small-m "
-        "experiment loops parallelize at the per-trial granularity instead "
-        "(see ROADMAP).  This warning is shown once per reset_warnings().",
+        "experiment loops parallelize at the per-trial granularity "
+        "instead.  This warning is shown once per reset_warnings().",
     )
 
 
@@ -268,54 +278,38 @@ class MallowsBatchScores:
     orders: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to sample and score rows ``[lo, hi)``."""
-
-    center_order: np.ndarray
-    theta: float
-    rows: int
-    bit_generator: object | None  # advanced clone; None => displacements set
-    displacements: np.ndarray | None
-    groups: "GroupAssignment | None"
-    constraints: "FairnessConstraints | None"
-    scores: np.ndarray | None
-    ndcg_k: int | None
-    return_orders: bool
-
-
-def _score_orders(
-    orders: np.ndarray, task: _ShardTask
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    from repro.batch.kernels import batch_infeasible_index, batch_ndcg
-
-    iis = None
-    if task.constraints is not None:
-        iis = batch_infeasible_index(orders, task.groups, task.constraints)
-    ndcgs = None
-    if task.scores is not None:
-        ndcgs = batch_ndcg(orders, task.scores, k=task.ndcg_k)
-    return iis, ndcgs, orders if task.return_orders else None
-
-
 def _run_shard(
-    task: _ShardTask,
+    _seed: None,
+    center: Ranking,
+    theta: float,
+    rows: int,
+    rng: np.random.Generator | None,
+    displacements: np.ndarray | None,
+    groups: "GroupAssignment | None",
+    constraints: "FairnessConstraints | None",
+    scores: np.ndarray | None,
+    ndcg_k: int | None,
+    return_orders: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Worker entry point: materialize the shard's rows, score them."""
+    """Row-shard unit: materialize the shard's ``rows`` rows — decoded from
+    ``displacements`` when given, else drawn from ``rng`` — and score them."""
+    from repro.batch.kernels import batch_infeasible_index, batch_ndcg
     from repro.mallows.sampling import (
-        _displacement_draws,
         _orders_from_displacements,
+        sample_mallows_batch,
     )
 
-    if task.displacements is not None:
-        v = task.displacements
+    if displacements is not None:
+        orders = _orders_from_displacements(center.order, displacements)
     else:
-        rng = np.random.Generator(task.bit_generator)
-        v = _displacement_draws(
-            task.center_order.size, task.theta, task.rows, rng
-        )
-    orders = _orders_from_displacements(task.center_order, v)
-    return _score_orders(orders, task)
+        orders = sample_mallows_batch(center, theta, rows, seed=rng)
+    iis = None
+    if constraints is not None:
+        iis = batch_infeasible_index(orders, groups, constraints)
+    ndcgs = None
+    if scores is not None:
+        ndcgs = batch_ndcg(orders, scores, k=ndcg_k)
+    return iis, ndcgs, orders if return_orders else None
 
 
 def _shard_bit_generators(
@@ -378,107 +372,105 @@ def mallows_sample_and_score(
         Also return the ``(m, n)`` sample orders (costs inter-process
         transfer of the whole batch when sharded).
     """
-    from repro.mallows.sampling import sample_mallows_batch
+    # Lazy: repro.batch.schedule imports this module.
+    from repro.batch.schedule import WorkUnit, run_units
 
     if (groups is None) != (constraints is None):
         raise ValueError("groups and constraints must be supplied together")
     n_jobs = effective_n_jobs(n_jobs)
+    if theta < 0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
     n = len(center)
     score_array = None
     if scores is not None:
         score_array = np.asarray(scores, dtype=np.float64)
+    rng = as_generator(seed)
 
     n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1
-    if n_shards <= 1:
+    sources: list[tuple[np.random.Generator | None, np.ndarray | None]]
+    if n_shards == 1:
         if n_jobs > 1 and 0 < m < 2 * MIN_ROWS_PER_JOB:
             _warn_small_batch(m, n_jobs)
-        from repro.batch.kernels import batch_infeasible_index, batch_ndcg
-
-        rng = as_generator(seed)
-        orders = sample_mallows_batch(center, theta, m, seed=rng)
-        iis = None
-        if constraints is not None:
-            iis = batch_infeasible_index(orders, groups, constraints)
-        ndcgs = None
-        if score_array is not None:
-            ndcgs = batch_ndcg(orders, score_array, k=ndcg_k)
-        return MallowsBatchScores(
-            infeasible_index=iis,
-            ndcg=ndcgs,
-            orders=orders if return_orders else None,
-        )
-
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    rng = as_generator(seed)
-    ranges = shard_row_ranges(m, n_shards)
-    clones = _shard_bit_generators(rng, ranges, n)
-    if clones is None:
-        # Non-advanceable bit generator: draw centrally, decode remotely.
-        from repro.mallows.sampling import _displacement_draws
-
-        v = _displacement_draws(n, theta, m, rng)
-        shard_rngs: list[object | None] = [None] * len(ranges)
-        shard_vs: list[np.ndarray | None] = [v[lo:hi] for lo, hi in ranges]
+        # A lone shard runs inline (run_units never pools one unit), so it
+        # draws straight from the caller's generator: no clone to build.
+        ranges = [(0, m)]
+        sources = [(rng, None)]
     else:
-        shard_rngs = clones
-        shard_vs = [None] * len(ranges)
+        ranges = shard_row_ranges(m, n_shards)
+        clones = _shard_bit_generators(rng, ranges, n)
+        if clones is None:
+            # Non-advanceable bit generator: draw centrally, decode remotely.
+            from repro.mallows.sampling import _displacement_draws
 
-    tasks = [
-        _ShardTask(
-            center_order=center.order,
-            theta=theta,
-            rows=hi - lo,
-            bit_generator=shard_rngs[s],
-            displacements=shard_vs[s],
-            groups=groups,
-            constraints=constraints,
-            scores=score_array,
-            ndcg_k=ndcg_k,
-            return_orders=return_orders,
+            v = _displacement_draws(n, theta, m, rng)
+            sources = [(None, v[lo:hi]) for lo, hi in ranges]
+        else:
+            sources = [(np.random.Generator(c), None) for c in clones]
+
+    units = [
+        WorkUnit(
+            key=("rows", lo),
+            fn=_run_shard,
+            payload=(
+                center, theta, hi - lo, shard_rng, shard_v, groups,
+                constraints, score_array, ndcg_k, return_orders,
+            ),
         )
-        for s, (lo, hi) in enumerate(ranges)
+        for (lo, hi), (shard_rng, shard_v) in zip(ranges, sources)
     ]
-    executor = _get_executor(n_jobs)
-    try:
-        results = list(executor.map(_run_shard, tasks))
-    except BrokenProcessPool:
-        # Row-shard fan-out stays fail-fast (crash recovery lives at the
-        # unit scheduler); the shared cleanup just evicts the dead pool.
-        from repro.faults.supervisor import evict_broken_pool
-
-        evict_broken_pool(n_jobs, executor)
-        raise
-
-    def _concat(parts: list[np.ndarray | None]) -> np.ndarray | None:
-        if any(p is None for p in parts):
-            return None
-        return np.concatenate(parts, axis=0)
-
-    return MallowsBatchScores(
-        infeasible_index=_concat([r[0] for r in results]),
-        ndcg=_concat([r[1] for r in results]),
-        orders=_concat([r[2] for r in results]),
-    )
+    by_key = run_units(units, n_jobs=n_jobs)  # repro: noqa[REP009] unit clock unused
+    results = list(by_key.values())
+    if len(results) == 1:
+        iis, ndcgs, orders = results[0]
+    else:  # join the shards' outputs in row order (None: not computed)
+        iis, ndcgs, orders = (
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*results)
+        )
+    return MallowsBatchScores(infeasible_index=iis, ndcg=ndcgs, orders=orders)
 
 
-@dataclass(frozen=True)
-class _TrialShard:
-    """One worker's slice of a trial loop: contiguous trial indices plus the
-    per-trial seed sequences and the shared payload."""
-
-    trial_fn: Callable[..., Any]
-    first_trial: int
-    seeds: tuple[np.random.SeedSequence, ...]
-    payload: tuple[Any, ...]
-
-
-def _run_trial_shard(task: _TrialShard) -> list[Any]:
-    """Worker entry point: run the shard's trials in index order."""
+def _run_trial_shard(
+    _seed: None,
+    trial_fn: Callable[..., Any],
+    first_trial: int,
+    seeds: tuple[np.random.SeedSequence, ...],
+    payload: tuple[Any, ...],
+) -> list[Any]:
+    """Trial-shard unit: run trials ``first_trial, first_trial + 1, ...``
+    (one per seed sequence) in index order."""
     return [
-        task.trial_fn(task.first_trial + i, np.random.default_rng(seq), *task.payload)
-        for i, seq in enumerate(task.seeds)
+        trial_fn(first_trial + i, np.random.default_rng(seq), *payload)
+        for i, seq in enumerate(seeds)
     ]
+
+
+def _run_trials(
+    pool: "WorkerPool",
+    trial_fn: Callable[..., Any],
+    n_trials: int,
+    seed: SeedLike,
+    payload: tuple[Any, ...],
+) -> list[Any]:
+    """:func:`run_trials` on ``pool``: the trial shards become work units
+    scheduled by ``pool.run``, under the pool's policy and counters."""
+    from repro.batch.schedule import WorkUnit  # lazy: schedule imports us
+
+    if n_trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {n_trials}")
+    n_jobs = effective_n_jobs(pool.n_jobs)
+    seqs = spawn_seed_sequences(seed, n_trials)
+    if n_trials == 1 and n_jobs > 1:
+        _warn_small_trials(n_trials, n_jobs)
+    units = [
+        WorkUnit(
+            key=("trials", lo),
+            fn=_run_trial_shard,
+            payload=(trial_fn, lo, tuple(seqs[lo:hi]), payload),
+        )
+        for lo, hi in shard_row_ranges(n_trials, max(1, min(n_jobs, n_trials)))
+    ]
+    return [result for shard in pool.run(units).values() for result in shard]
 
 
 def run_trials(
@@ -523,37 +515,6 @@ def run_trials(
         Extra positional arguments shipped to every trial (pickled once per
         shard, not once per trial).
     """
-    if n_trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {n_trials}")
-    n_jobs = effective_n_jobs(n_jobs)
-    seqs = spawn_seed_sequences(seed, n_trials)
-    if n_trials == 0:
-        return []
-    n_shards = min(n_jobs, n_trials)
-    if n_shards == 1:
-        if n_jobs > 1:
-            _warn_small_trials(n_trials, n_jobs)
-        return [
-            trial_fn(t, np.random.default_rng(seqs[t]), *payload)
-            for t in range(n_trials)
-        ]
+    from repro.batch.schedule import WorkerPool  # lazy: schedule imports us
 
-    tasks = [
-        _TrialShard(
-            trial_fn=trial_fn,
-            first_trial=lo,
-            seeds=tuple(seqs[lo:hi]),
-            payload=payload,
-        )
-        for lo, hi in shard_row_ranges(n_trials, n_shards)
-    ]
-    executor = _get_executor(n_jobs)
-    try:
-        shard_results = list(executor.map(_run_trial_shard, tasks))
-    except BrokenProcessPool:
-        # Trial-shard fan-out stays fail-fast too; see evict_broken_pool.
-        from repro.faults.supervisor import evict_broken_pool
-
-        evict_broken_pool(n_jobs, executor)
-        raise
-    return [result for shard in shard_results for result in shard]
+    return _run_trials(WorkerPool(n_jobs), trial_fn, n_trials, seed, payload)

@@ -45,8 +45,11 @@ Task-graph / seed-tree contract
   OOM-killed worker no longer aborts a whole pipeline — and because every
   unit is a pure function of ``(fn, seed, payload)``, recovery never
   changes a digest.
-* The pool is the same per-``n_jobs`` pooled executor the inner-loop
-  primitives use, and pool children are barred from nesting pools
+* The inner-loop primitives are themselves unit fan-outs: the row shards
+  of ``mallows_sample_and_score`` and the trial shards of ``run_trials``
+  are :class:`WorkUnit`\\ s run through :func:`run_units`, so they share
+  this one supervised path and the per-``n_jobs`` pool.  Pool children
+  are barred from nesting pools
   (:func:`~repro.batch.parallel.effective_n_jobs` forces ``n_jobs=1``
   inside workers) — a unit that internally calls ``run_trials`` or
   ``mallows_sample_and_score`` simply runs that part inline.
@@ -59,15 +62,14 @@ each experiment spinning up its own fan-out.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
-from repro.batch.parallel import effective_n_jobs
+from repro.batch.parallel import _run_trials, effective_n_jobs
 from repro.faults.policy import RetryPolicy
-from repro.faults.supervisor import FaultCounters, supervise_units
+from repro.faults.supervisor import FaultCounters, run_timed, supervise_units
 
 
 @dataclass(frozen=True)
@@ -122,20 +124,6 @@ class CompletedUnit:
     kind: Hashable | None = None
 
 
-def _run_unit(fn: Callable[..., Any], seed, payload: tuple[Any, ...]) -> Any:
-    """Execute one unit (in a worker or inline — identical either way)."""
-    return fn(seed, *payload)
-
-
-def _run_unit_timed(
-    fn: Callable[..., Any], seed, payload: tuple[Any, ...]
-) -> tuple[Any, float]:
-    """Execute one unit and clock it (in the executing process)."""
-    t0 = time.perf_counter()
-    result = fn(seed, *payload)
-    return result, time.perf_counter() - t0
-
-
 def _check_unique_keys(units: list[WorkUnit]) -> None:
     keys = [u.key for u in units]
     if len(set(keys)) != len(keys):
@@ -166,8 +154,8 @@ def iter_units(
     partial results (streaming response loops, live report rendering)
     overlap their downstream work with the tail of the schedule.
 
-    The pooled path is *supervised*: if a worker process dies
-    (``BrokenProcessPool`` — a crash fault), the executor is rebuilt and
+    The pooled path is *supervised* (:func:`~repro.faults.supervise_units`):
+    if a worker process dies (a crash fault), the executor is rebuilt and
     the unserved units are resubmitted with their original seeds under
     ``policy`` (default :data:`~repro.faults.policy.DEFAULT_RETRY_POLICY`),
     which bounds attempts per unit and rebuilds per run and finally
@@ -187,7 +175,7 @@ def iter_units(
     n_jobs = effective_n_jobs(n_jobs)
     if n_jobs == 1:
         for u in units:
-            result, seconds = _run_unit_timed(u.fn, u.seed, u.payload)
+            result, seconds = run_timed(u.fn, u.seed, u.payload)
             yield CompletedUnit(
                 key=u.key, result=result, seconds=seconds, kind=u.kind
             )
@@ -232,12 +220,17 @@ def run_units(
     """
     units = list(units)
     n_jobs = effective_n_jobs(n_jobs)
+    if len(units) == 1:
+        # Called directly, not via iter_units: the one-shard Mallows path
+        # comes through here ~1,200 times per full pipeline run.
+        (u,) = units
+        result, seconds = run_timed(u.fn, u.seed, u.payload)
+        if on_unit_done is not None:
+            on_unit_done(u.key, seconds)
+        return {u.key: result}
     results: dict[Hashable, Any] = {}
     for done in iter_units(
-        units,
-        n_jobs=n_jobs if len(units) > 1 else 1,
-        policy=policy,
-        counters=counters,
+        units, n_jobs=n_jobs, policy=policy, counters=counters
     ):
         results[done.key] = done.result
         if on_unit_done is not None:
@@ -304,12 +297,9 @@ class WorkerPool:
         payload: tuple[Any, ...] = (),
     ) -> list[Any]:
         """Trial-granular fan-out on this pool (see
-        :func:`repro.batch.parallel.run_trials`)."""
-        from repro.batch.parallel import run_trials
-
-        return run_trials(
-            trial_fn, n_trials, seed=seed, n_jobs=self.n_jobs, payload=payload
-        )
+        :func:`repro.batch.parallel.run_trials`): the trial shards run
+        through :meth:`run`, under this handle's policy and counters."""
+        return _run_trials(self, trial_fn, n_trials, seed, payload)
 
 
 def pool_for(pool: WorkerPool | None, n_jobs: int) -> WorkerPool:

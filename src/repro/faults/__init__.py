@@ -8,11 +8,13 @@ The package splits into three small layers:
     rebuilds per run, exponential backoff with an injectable sleep) and
     the degradation mode when it runs out (``"inline"`` or ``"raise"``).
 :mod:`repro.faults.supervisor`
-    :func:`supervise_units` — the pooled dispatch loop that survives
+    :func:`supervise_units` — the one pooled dispatch loop (experiment
+    units, served requests, and the row and trial shards of
+    :mod:`repro.batch.parallel` all go through it).  It survives
     ``BrokenProcessPool`` by rebuilding the executor and resubmitting
     unserved units with their *original* seeds (digest-neutral by the
     purity contract), plus :class:`FaultCounters` telemetry and the
-    shared :func:`evict_broken_pool` cleanup.
+    :func:`evict_broken_pool` cleanup.
 :mod:`repro.faults.injection`
     :class:`InjectionPlan` / :class:`FaultSpec` — deterministic chaos,
     keyed by ``(unit key, attempt)`` and shipped to workers through the

@@ -1,13 +1,14 @@
 """Supervised pool recovery: crash-fault retries under a bounded budget.
 
-:func:`supervise_units` is the pooled dispatch loop behind
-:func:`repro.batch.schedule.iter_units`.  It submits work units to the
-shared per-``n_jobs`` executor exactly as the unsupervised path did
-(longest-processing-time order, as-completed harvesting) — but when the
-pool collapses (``BrokenProcessPool``: a worker was OOM-killed,
-segfaulted, or hard-exited by the fault-injection harness) it rebuilds
-the executor and resubmits the unserved units *with their original
-seeds* under a :class:`~repro.faults.policy.RetryPolicy`.
+:func:`supervise_units` is the one pooled dispatch loop: everything
+that reaches the shared per-``n_jobs`` executor — experiment units,
+served requests, the row and trial shards of :mod:`repro.batch.parallel`
+— goes through it via :func:`repro.batch.schedule.iter_units`.  It
+submits units in longest-processing-time order and harvests them as
+they complete.  When the pool collapses (``BrokenProcessPool``: a worker
+was OOM-killed, segfaulted, or hard-exited by the fault-injection
+harness) it rebuilds the executor and resubmits the unserved units *with
+their original seeds* under a :class:`~repro.faults.policy.RetryPolicy`.
 
 Because every unit's output is a pure function of ``(fn, seed,
 payload)``, a retried unit reproduces its original bytes exactly: crash
@@ -177,6 +178,17 @@ def evict_broken_pool(
     executor.shutdown(wait=False, cancel_futures=True)
 
 
+def run_timed(
+    fn: Callable[..., Any], seed: Any, payload: tuple[Any, ...]
+) -> tuple[Any, float]:
+    """Run one unit in the executing process and clock it — the one
+    timing wrapper of every path (inline, pooled, degraded), so measured
+    costs exclude pool queueing and pickling and compare across paths."""
+    t0 = time.perf_counter()
+    result = fn(seed, *payload)
+    return result, time.perf_counter() - t0
+
+
 def _execute_unit(
     fn: Callable[..., Any],
     seed: Any,
@@ -184,17 +196,15 @@ def _execute_unit(
     key: Hashable,
     attempt: int,
 ) -> tuple[Any, float]:
-    """Run one supervised unit in the executing process and clock it.
+    """Pool-worker entry point: the injection probe, then :func:`run_timed`.
 
-    The injection probe sees the deterministic ``(key, attempt)`` pair, so
-    a chaos plan fires on exactly the same unit/attempt every run.  The
-    timer excludes pool queueing and pickling, matching the unsupervised
-    scheduler's cost measurements.
+    The probe sees the deterministic ``(key, attempt)`` pair, so a chaos
+    plan fires on exactly the same unit/attempt every run.  Inline paths
+    skip the probe: a unit run inline inside a worker (a nested fan-out)
+    must not fire the plan meant for the pooled unit around it.
     """
     maybe_inject(key, attempt)
-    t0 = time.perf_counter()
-    result = fn(seed, *payload)
-    return result, time.perf_counter() - t0
+    return run_timed(fn, seed, payload)
 
 
 def supervise_units(
@@ -319,9 +329,7 @@ def supervise_units(
                 tally.record(degraded_units=len(casualties))
             for index in casualties:
                 unit = units[index]
-                t0 = time.perf_counter()
-                result = unit.fn(unit.seed, *unit.payload)
-                seconds = time.perf_counter() - t0
+                result, seconds = run_timed(unit.fn, unit.seed, unit.payload)
                 pending.discard(index)
                 yield index, result, seconds
         if survivors:

@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import WorkUnit, WorkerPool, run_units, shutdown_workers
+from repro.batch import (
+    WorkUnit,
+    WorkerPool,
+    mallows_sample_and_score,
+    run_trials,
+    run_units,
+    shutdown_workers,
+)
 from repro.batch.parallel import _EXECUTORS, _get_executor
 from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import (
@@ -35,6 +42,7 @@ from repro.exceptions import (
 )
 from repro.faults import (
     ANY_KEY,
+    DEFAULT_RETRY_POLICY,
     DEGRADE_INLINE,
     DEGRADE_RAISE,
     FAULT_ENV_VAR,
@@ -53,7 +61,9 @@ from repro.faults import (
     plan_from_env,
 )
 from repro.faults.injection import _install_worker_plan
+from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
+from repro.rankings.permutation import random_ranking
 from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -407,6 +417,121 @@ class TestSupervisedRecovery:
         assert chaos == serial
         assert GLOBAL_FAULTS.crash_faults >= 1
         assert GLOBAL_FAULTS.rebuilds >= 1
+
+
+def _stream_trial(trial_index, rng):
+    """Trial-pool unit: the trial's first three uniforms."""
+    return rng.random(3).tolist()
+
+
+def _nested_trials_unit(seed, count):
+    """Pooled unit whose trial fan-out runs inline inside the worker."""
+    return run_trials(_stream_trial, count, seed=seed, n_jobs=2)
+
+
+def _score_rows(seed, n_jobs):
+    """The row-shard pipeline at 700 rows (two shards at ``n_jobs=2``)."""
+    center = random_ranking(15, seed=3)
+    groups = GroupAssignment.from_indices(np.arange(15) % 2)
+    return mallows_sample_and_score(
+        center,
+        0.7,
+        700,
+        groups=groups,
+        constraints=FairnessConstraints.proportional(groups),
+        scores=np.linspace(2.0, 0.1, 15),
+        seed=seed,
+        n_jobs=n_jobs,
+        return_orders=True,
+    )
+
+
+def _assert_same_rows(a, b):
+    assert np.array_equal(a.orders, b.orders)
+    assert np.array_equal(a.infeasible_index, b.infeasible_index)
+    assert np.array_equal(a.ndcg, b.ndcg)
+
+
+class TestShardedChaos:
+    """The ``batch.parallel`` sharders run as supervised work units, so a
+    worker that dies mid-fan-out is recovered with the shard's original
+    stream instead of aborting the call."""
+
+    @pytest.fixture(autouse=True)
+    def _sleep_free_default_policy(self, monkeypatch):
+        # The sharders take no policy: keep the default's backoff sleep-free.
+        monkeypatch.setattr(
+            "repro.faults.supervisor.DEFAULT_RETRY_POLICY", _policy()[0]
+        )
+
+    def test_row_shards_recover_from_worker_crash(self):
+        serial_rng = np.random.default_rng(SEED)
+        chaos_rng = np.random.default_rng(SEED)
+        serial = _score_rows(serial_rng, n_jobs=1)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            chaos = _score_rows(chaos_rng, n_jobs=2)
+        assert GLOBAL_FAULTS.crash_faults > 0
+        _assert_same_rows(serial, chaos)
+        # The caller's generator ends where the serial run left it.
+        assert np.array_equal(serial_rng.random(8), chaos_rng.random(8))
+
+    def test_trial_shards_recover_from_worker_crash(self):
+        serial_rng = np.random.default_rng(SEED)
+        chaos_rng = np.random.default_rng(SEED)
+        serial = run_trials(_stream_trial, 9, seed=serial_rng, n_jobs=1)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            chaos = run_trials(_stream_trial, 9, seed=chaos_rng, n_jobs=2)
+        assert GLOBAL_FAULTS.crash_faults > 0
+        assert chaos == serial
+        assert np.array_equal(serial_rng.random(8), chaos_rng.random(8))
+
+    def test_worker_pool_trials_keep_the_pool_recovery_settings(self):
+        serial = run_trials(_stream_trial, 9, seed=SEED, n_jobs=1)
+        policy, sleep = _policy()
+        counters = FaultCounters()
+        pool = WorkerPool(2, policy=policy, counters=counters)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            pooled = pool.run_trials(_stream_trial, 9, seed=SEED)
+        assert pooled == serial
+        assert counters.crash_faults > 0
+        # The handle's policy drove the recovery: its fake sleep saw every
+        # backoff, so no real sleep happened.
+        assert len(sleep.calls) == counters.rebuilds > 0
+
+    def test_nested_inline_shards_do_not_refire_the_plan(self):
+        """A retried unit's nested shards run inline in the worker and
+        must not hit the probe meant for pooled attempts, or every retry
+        would die again and the run would degrade."""
+        def units():  # fresh seeds per run: spawning advances a sequence
+            seqs = np.random.SeedSequence(SEED).spawn(2)
+            return [
+                WorkUnit(key=("outer", i), fn=_nested_trials_unit,
+                         seed=seq, payload=(5,))
+                for i, seq in enumerate(seqs)
+            ]
+
+        serial = run_units(units(), n_jobs=1)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            pooled = run_units(units(), n_jobs=2, policy=_policy()[0])
+        assert pooled == serial
+        assert GLOBAL_FAULTS.crash_faults > 0
+        assert GLOBAL_FAULTS.degraded_units == 0
+
+    def test_row_shards_degrade_inline_past_the_retry_budget(self):
+        every_attempt = ";".join(
+            f"*:{attempt}:exit"
+            for attempt in range(DEFAULT_RETRY_POLICY.max_attempts + 1)
+        )
+        serial_rng = np.random.default_rng(SEED)
+        chaos_rng = np.random.default_rng(SEED)
+        serial = _score_rows(serial_rng, n_jobs=1)
+        with inject_faults(parse_fault_specs(every_attempt)):
+            with pytest.warns(RuntimeWarning, match="inline"):
+                chaos = _score_rows(chaos_rng, n_jobs=2)
+        # Both shards finished in the parent from their advanced clones.
+        assert GLOBAL_FAULTS.degraded_units == 2
+        _assert_same_rows(serial, chaos)
+        assert np.array_equal(serial_rng.random(8), chaos_rng.random(8))
 
 
 class TestEngineFaultStats:

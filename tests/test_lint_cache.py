@@ -115,6 +115,32 @@ class TestIncrementalCache:
         }
         assert after == before
 
+    def test_other_spelling_of_the_same_tree_gets_the_cold_answer(
+        self, tmp_path
+    ):
+        """One cache file, two spellings of the same directory (``pkg``
+        and ``pkg/serve/..``): findings name the path as given, and the
+        project findings land on their files under either spelling."""
+        pkg = make_tree(tmp_path)
+        (pkg / "serve" / "core.py").write_text(
+            (pkg / "serve" / "core.py").read_text().replace(
+                "return stamp()", "return stamp()  # repro: noqa[REP009] demo"
+            )
+        )
+        other = os.path.join(str(pkg), "serve", "..")
+        cache_path = str(tmp_path / "cache.json")
+        for first, second in ((str(pkg), other), (other, str(pkg))):
+            if os.path.exists(cache_path):
+                os.remove(cache_path)
+            cache = LintCache(cache_path, DEFAULT_CONFIG)
+            lint_paths([first], cache=cache)
+            cache.save()
+            warm = render_json(
+                lint_paths([second], cache=LintCache(cache_path, DEFAULT_CONFIG))
+            )
+            assert warm == render_json(lint_paths([second]))
+            assert '"REP000"' not in warm  # the noqa still finds its REP009
+
     def test_one_cache_serves_every_rule_selection(self, tmp_path):
         # select/ignore are excluded from the fingerprint on purpose:
         # summaries store findings for every rule, the engine filters.

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.batch import WorkerPool, WorkUnit, iter_units, pool_for, run_units
-from repro.batch.schedule import _run_unit
 from repro.experiments.runner import reports_digest, run_all
 
 
@@ -71,7 +70,7 @@ class TestRunUnits:
         units = _units(3)
         out = run_units(units, n_jobs=1)
         for u in units:
-            assert out[u.key] == _run_unit(u.fn, u.seed, u.payload)
+            assert out[u.key] == u.fn(u.seed, *u.payload)
 
     def test_seedless_units(self):
         units = [
