@@ -6,6 +6,11 @@ sub-quadratic RIM decode: at ``n = 2000`` the Fenwick order-statistic path
 must beat the ``O(m·n²)`` chunked decode (bit-identical outputs are asserted
 before any timing claim counts), while ``test_small_n_stays_on_chunked_path``
 pins the dispatcher to the existing decode at paper scale (``n <= 500``).
+
+``test_serving_shape_hot_path`` covers the serving request (Mallows
+best-of-1000 at ``n = 250``): it asserts the sampler and the NDCG kernel
+equal their scalar references bit for bit, and records the per-step times
+without asserting on them.
 """
 
 import time
@@ -13,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.bench_batch_engine import _scalar_orders_from_displacements
+from repro.batch.kernels import batch_ndcg
 from repro.mallows.sampling import (
     _displacement_draws,
     _orders_from_displacements,
@@ -21,7 +28,8 @@ from repro.mallows.sampling import (
     decode_crossover,
     sample_mallows_batch,
 )
-from repro.rankings.permutation import random_ranking
+from repro.rankings.permutation import Ranking, random_ranking
+from repro.rankings.quality import ndcg
 
 
 @pytest.mark.parametrize("n", [10, 100, 500])
@@ -43,6 +51,51 @@ def test_rim_batch_10k_samples_n50(benchmark):
     center = random_ranking(50, seed=0)
     orders = benchmark(sample_mallows_batch, center, 0.5, 10_000, 0)
     assert orders.shape == (10_000, 50)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_serving_shape_hot_path(theta, report):
+    """A Mallows best-of-1000 request at n = 250, step by step: draws,
+    decode, NDCG.  Outputs must equal the scalar references bit for bit;
+    the times are the best of a few repeats and are recorded only — one
+    run's timing is no evidence of a speed change."""
+    n, m, seed = 250, 1_000, 7
+    center = random_ranking(n, seed=0)
+    scores = np.random.default_rng(1).random(n)
+
+    draws_s = decode_s = ndcg_s = np.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        v = _displacement_draws(n, theta, m, np.random.default_rng(seed))
+        t1 = time.perf_counter()
+        orders = _orders_from_displacements(center.order, v)
+        t2 = time.perf_counter()
+        ndcgs = batch_ndcg(orders, scores)
+        t3 = time.perf_counter()
+        draws_s = min(draws_s, t1 - t0)
+        decode_s = min(decode_s, t2 - t1)
+        ndcg_s = min(ndcg_s, t3 - t2)
+
+    assert np.array_equal(orders, _scalar_orders_from_displacements(center.order, v))
+    assert np.array_equal(
+        sample_mallows_batch(center, theta, m, seed=np.random.default_rng(seed)),
+        orders,
+    )
+    for row in (0, 1, m // 2, m - 1):
+        assert ndcgs[row] == ndcg(Ranking(orders[row]), scores)
+
+    report(
+        f"Mallows serving shape — n={n}, m={m}, theta={theta:g}",
+        (
+            f"draws  : {draws_s * 1e3:7.2f} ms\n"
+            f"decode : {decode_s * 1e3:7.2f} ms\n"
+            f"NDCG   : {ndcg_s * 1e3:7.2f} ms"
+        ),
+        metrics={
+            "n": n, "m": m, "theta": theta, "draws_ms": draws_s * 1e3,
+            "decode_ms": decode_s * 1e3, "ndcg_ms": ndcg_s * 1e3,
+        },
+    )
 
 
 def test_fenwick_decode_wins_at_large_n(fast_mode, report):

@@ -355,8 +355,10 @@ def batch_ndcg(
     if ideal == 0.0:
         return np.ones(m, dtype=np.float64)
     disc = position_discounts(k)
-    gains = (s[orders[:, :k]] * disc[None, :]).sum(axis=1)
-    return gains / ideal
+    # The gather is a fresh array, so the discounting runs in place on it.
+    gains = s[orders[:, :k]]
+    np.multiply(gains, disc, out=gains)
+    return gains.sum(axis=1) / ideal
 
 
 # -- displacement distances ----------------------------------------------------

@@ -13,7 +13,10 @@ between two bit-identical decodes:
 
 * the **chunked decode** (:func:`_decode_chunk`) accumulates the final
   position of every item column-by-column over the ``(m, n)`` displacement
-  matrix — ``O(n)`` NumPy calls but ``O(m·n²)`` elementwise work;
+  matrix — ``O(n)`` NumPy calls but ``O(m·n²)`` elementwise work.  Its
+  positions take the smallest dtype that holds ``0..n-1``: ``uint8`` for
+  ``n <= 256`` (the serving sizes), ``int16`` for ``n <= 32767``, ``int64``
+  beyond (:func:`_position_dtype`);
 * the **Fenwick decode** (:func:`_decode_chunk_fenwick`) replays the
   insertions in reverse with a batch of Fenwick (binary-indexed) trees: the
   item inserted at step ``j`` lands in the ``(j − v_j + 1)``-th still-empty
@@ -23,25 +26,29 @@ between two bit-identical decodes:
 Both decodes replay the same insertion process exactly (integer arithmetic
 only), so their outputs are bit-for-bit identical to each other and to the
 sequential insertion loop the test suite keeps as a private reference.  The
-dispatcher picks by batch shape; measured wall-clock on the development
-machine (``theta = 0.5``, ``m = 2048``):
+dispatcher picks by batch shape; measured wall-clock on a shared 2-vCPU
+host (``theta = 0.5``, median of interleaved runs; the first row is the
+serving shape, a best-of-1000 request):
 
-======  ==============  ==============
-``n``   chunked decode  Fenwick decode
-======  ==============  ==============
-   500       199 ms         358 ms
-  1000       397 ms         390 ms
-  1408       771 ms         629 ms
-  2000      1296 ms         880 ms
-  4000     ~4800 ms       ~2600 ms
-======  ==============  ==============
+===============  ==============  ==============
+``n`` (``m``)    chunked decode  Fenwick decode
+===============  ==============  ==============
+ 250 (m = 1000)       11 ms           77 ms
+ 500 (m = 2048)       95 ms          172 ms
+1000 (m = 2048)      358 ms          387 ms
+1408 (m = 2048)      716 ms          985 ms
+2000 (m = 2048)     1508 ms         1448 ms
+4000 (m = 2048)     6513 ms         4496 ms
+===============  ==============  ==============
 
-The constant factors favour the chunked decode up to ``n ≈ 1000`` (and for
-small batches, where the Fenwick per-call overhead cannot amortize), so the
-default crossover is conservative: Fenwick runs only when
-``n >= 1024 and m >= 512``.  :func:`calibrate_decode_crossover` re-measures
-the crossover on the host and adjusts the threshold; because the two paths
-agree bit-for-bit, the dispatch point never affects results.
+Where the decodes cross depends on the host: here the chunked decode
+leads up to ``n ≈ 2000``, while the host the default was set on had the
+Fenwick decode ahead from ``n ≈ 1400``; small batches always favour the
+chunked decode, since the Fenwick per-call overhead cannot amortize.  By
+default Fenwick runs when ``n >= 1024 and m >= 512``.
+:func:`calibrate_decode_crossover` re-measures the crossover on the host
+and adjusts the threshold; because the two paths agree bit-for-bit, the
+dispatch point never affects results.
 """
 
 from __future__ import annotations
@@ -87,42 +94,74 @@ def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) 
     u = rng.random((m, n))
     j = np.arange(n, dtype=np.float64)
     q = math.exp(-theta) if theta > 0.0 else 1.0
+    # Every step below runs in place on ``u``: the same operations in the
+    # same order as the textbook formula, so the same bits, with no (m, n)
+    # float temporaries.
     if q >= 1.0:
         # theta == 0, or so small that e^{-theta} rounds to 1: the law is
         # (indistinguishable from) uniform over {0..j}, and the geometric
         # inverse CDF below would divide by log(1) = 0.
-        return np.floor(u * (j + 1.0)).astype(np.int64)
+        np.multiply(u, j + 1.0, out=u)
+        np.floor(u, out=u)
+        return u.astype(np.int64)
     # CDF(v) = (1 − q^{v+1}) / (1 − q^{j+1});  inverse transform:
     #   v = floor( log(1 − u·(1 − q^{j+1})) / log q )
+    # Negating after the product is exact, and the division stays a
+    # division: multiplying by 1 / log q would round differently.
     tail = 1.0 - np.power(q, j + 1.0)
-    v = np.floor(np.log1p(-u * tail) / math.log(q))
-    v = np.clip(v, 0, j).astype(np.int64)
-    return v
+    np.multiply(u, tail, out=u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, math.log(q), out=u)
+    np.floor(u, out=u)
+    np.clip(u, 0, j, out=u)
+    return u.astype(np.int64)
 
 
-def _decode_chunk(
-    center_order: np.ndarray, vT: np.ndarray, out: np.ndarray, dtype: np.dtype
-) -> None:
-    """Decode one chunk of transposed displacements ``vT`` of ``shape (n, c)``
-    into the order rows ``out`` of ``shape (c, n)``.
+def _position_dtype(n: int) -> np.dtype:
+    """The smallest dtype that holds the list positions ``0..n-1``:
+    ``uint8`` up to ``n = 256``, ``int16`` up to ``n = 32767``, else
+    ``int64``.  Smaller elements mean proportionally less memory traffic in
+    the chunked decode's ``O(m·n²)`` compare-and-accumulate."""
+    if n <= 1 << 8:
+        return np.dtype(np.uint8)
+    if n <= np.iinfo(np.int16).max:
+        return np.dtype(np.int16)
+    return np.dtype(np.int64)
 
-    Tracks the evolving position of every inserted item: inserting item ``j``
-    at list index ``p = j − v[j]`` shifts every previously inserted item at
+
+def _decode_chunk(center_order: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Decode one chunk of displacement rows ``v`` of ``shape (c, n)`` into
+    the order rows ``out`` of ``shape (c, n)``.
+
+    Tracks the evolving position of every inserted item, one ``(n, c)`` row
+    per item in the :func:`_position_dtype` of ``n``: inserting item ``j`` at
+    list index ``p = j − v[j]`` shifts every previously inserted item at
     index ``>= p`` down by one, which is a single vectorized
-    compare-and-accumulate over the ``(j, c)`` block per step.  The final
-    positions are scattered into order view with one ``put_along_axis``.
+    compare-and-accumulate over the ``(j, c)`` block per step.  The rows
+    start as every item's insertion index, computed once: step ``j`` shifts
+    rows ``< j`` only, so row ``j`` still holds its index when step ``j``
+    reads it.  The final positions are scattered into order view with one
+    flat fancy-index assignment, so ``out`` must be C-contiguous (a row
+    slice of the result).
     """
-    n, c = vT.shape
-    pos = np.empty((n, c), dtype=dtype)
-    pos[0] = 0
-    for j in range(1, n):
-        p = (j - vT[j]).astype(dtype, copy=False)
-        left = pos[:j]
-        np.add(left, left >= p[None, :], out=left, casting="unsafe")
-        pos[j] = p
-    np.put_along_axis(
-        out, pos.T.astype(np.int64), np.broadcast_to(center_order, (c, n)), axis=1
+    c, n = v.shape
+    dtype = _position_dtype(n)
+    # Insertion indices in C order, so each step reads one contiguous row;
+    # the cast is exact because 0 <= j - v[j] <= j < n.
+    pos = np.ascontiguousarray(
+        np.subtract(np.arange(n), v, dtype=dtype, casting="unsafe").T
     )
+    hits = np.empty((n, c), dtype=bool)
+    # Same-width view: the uint8 add then needs no cast at all.
+    step = hits.view(np.uint8) if dtype == np.uint8 else hits
+    for j in range(1, n):
+        left = pos[:j]
+        np.greater_equal(left, pos[j], out=hits[:j])
+        np.add(left, step[:j], out=left, casting="unsafe")
+    flat_index = pos.astype(np.intp)
+    flat_index += np.arange(0, c * n, n, dtype=np.intp)
+    out.reshape(-1)[flat_index] = center_order[:, None]
 
 
 def _fenwick_tree_row(n: int, size: int) -> np.ndarray:
@@ -261,21 +300,13 @@ def calibrate_decode_crossover(
         v = _displacement_draws(n, theta, m, rng)
         center = np.arange(n, dtype=np.int64)
         timings = []
-        for fn in (_decode_chunk, _decode_chunk_fenwick):
-            out = np.empty((m, n), dtype=np.int64)
-            vT = np.ascontiguousarray(v.T)
+        # Each timing runs the dispatcher's own path end to end, so the
+        # calibration measures the kernels (and position dtype) it picks.
+        for method in ("chunked", "fenwick"):
             # This *is* a timing measurement: it picks the faster decode,
             # never a different answer.
             start = time.perf_counter()  # repro: noqa[REP002] speed-only
-            if fn is _decode_chunk:
-                dtype = (
-                    np.dtype(np.int16)
-                    if n <= np.iinfo(np.int16).max
-                    else np.dtype(np.int64)
-                )
-                fn(center, vT, out, dtype)
-            else:
-                fn(center, vT, out)
+            _orders_from_displacements(center, v, method=method)
             timings.append(
                 time.perf_counter() - start  # repro: noqa[REP002] speed-only
             )
@@ -298,12 +329,13 @@ def _orders_from_displacements(
     For each sample, item ``center_order[j]`` is inserted at list index
     ``j − v[j]`` (i.e. ``v[j]`` slots before the current end).  Small-``n``
     batches decode with the chunked position accumulator (``O(n)`` NumPy
-    calls, ``O(m·n²)`` elementwise work in a cache-sized dtype); past the
-    measured crossover (see the module docstring) large-``n`` batches use
-    the Fenwick order-statistic decode (``O(m·n·log n)``).  Both are
-    bit-for-bit identical to the sequential insertion loop; ``method``
-    (``"auto"``/``"chunked"``/``"fenwick"``) forces a path for tests and
-    benchmarks.
+    calls, ``O(m·n²)`` elementwise work); its positions are ``uint8`` for
+    ``n <= 256``, ``int16`` for ``n <= 32767`` and ``int64`` beyond (see
+    :func:`_position_dtype`).  Past the measured crossover (see the module
+    docstring) large-``n`` batches use the Fenwick order-statistic decode
+    (``O(m·n·log n)``).  Both are bit-for-bit identical to the sequential
+    insertion loop; ``method`` (``"auto"``/``"chunked"``/``"fenwick"``)
+    forces a path for tests and benchmarks.
     """
     if method not in ("auto", "chunked", "fenwick"):
         raise ValueError(f"unknown decode method {method!r}")
@@ -311,22 +343,18 @@ def _orders_from_displacements(
     out = np.empty((m, n), dtype=np.int64)
     if m == 0 or n == 0:
         return out
-    vT = np.ascontiguousarray(v.T)
     if method == "fenwick" or (method == "auto" and _use_fenwick_decode(m, n)):
         size = 1 << max(0, (n - 1).bit_length())
         chunk = max(32, _FENWICK_CHUNK_BYTES // (2 * (size + 1)))
         for lo in range(0, m, chunk):
             hi = min(lo + chunk, m)
             _decode_chunk_fenwick(
-                center_order, np.ascontiguousarray(vT[:, lo:hi]), out[lo:hi]
+                center_order, np.ascontiguousarray(v[lo:hi].T), out[lo:hi]
             )
         return out
-    # Positions fit the smallest dtype that can hold 0..n-1; smaller elements
-    # mean proportionally less memory traffic in the decode loop.
-    dtype = np.dtype(np.int16) if n <= np.iinfo(np.int16).max else np.dtype(np.int64)
     for lo in range(0, m, _DECODE_CHUNK):
         hi = min(lo + _DECODE_CHUNK, m)
-        _decode_chunk(center_order, np.ascontiguousarray(vT[:, lo:hi]), out[lo:hi], dtype)
+        _decode_chunk(center_order, v[lo:hi], out[lo:hi])
     return out
 
 
